@@ -40,7 +40,13 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Sequence, Tuple
 
-from ..network.state import BW_EPSILON, NetworkState
+from ..network.state import (
+    BW_EPSILON,
+    NetworkState,
+    demand_top,
+    drop_demand,
+    raise_demand,
+)
 
 #: Environment variable gating the batched apply path ("0"/"off"
 #: disables it and every walk takes the legacy per-hop loop).
@@ -176,8 +182,6 @@ def batch_register_walk(
         aplv = ledger._aplv
         counts = aplv._counts
         demand = ledger._demand
-        demand_get = demand.get
-        dmax = ledger._demand_max
         # Counter.update runs the increment loop in C; fresh positions
         # (0 -> 1 crossings) are exactly the length growth.
         before = len(counts)
@@ -186,24 +190,20 @@ def batch_register_walk(
         if fresh:
             aplv._support_mask |= lset_mask
             aplv._support_version += fresh
-        for pos in lset:
-            total = demand_get(pos, 0.0) + bw
-            demand[pos] = total
-            if total > dmax:
-                dmax = total
         aplv._l1 += llen
-        ledger._demand_max = dmax
+        ledger._demand_max, ledger._demand_ties = raise_demand(
+            demand, lset, bw, ledger._demand_max, ledger._demand_ties
+        )
         if groups is not None:
             gaplv = ledger._group_aplv
-            gdemand = ledger._group_demand
-            gdmax = ledger._group_demand_max
             for group in glist:
                 gaplv[group] = gaplv.get(group, 0) + 1
-                gtotal = gdemand.get(group, 0.0) + bw
-                gdemand[group] = gtotal
-                if gtotal > gdmax:
-                    gdmax = gtotal
-            ledger._group_demand_max = gdmax
+            ledger._group_demand_max, ledger._group_demand_ties = (
+                raise_demand(
+                    ledger._group_demand, glist, bw,
+                    ledger._group_demand_max, ledger._group_demand_ties,
+                )
+            )
         ledger._backups[key] = (lset, bw)
         ledger.version += 1
         if shared:
@@ -212,11 +212,8 @@ def batch_register_walk(
             # clamp and the no-op-skip copy set_spare verbatim.  The
             # growth guard is provably dead here: achieved ≤ ceiling
             # means growth ≤ free_bw.
-            if ledger._demand_max_stale:
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
-                )
-                ledger._demand_max_stale = False
+            if not ledger._demand_ties:
+                ledger._demand_max, ledger._demand_ties = demand_top(demand)
             target = ledger._demand_max
             ceiling = ledger.capacity - ledger._prime_bw
             achieved = min(target, max(0.0, ceiling))
@@ -297,36 +294,27 @@ def batch_release_walk(
             aplv._support_mask = mask
             aplv._support_version += zeroed
         aplv._l1 -= len(lset)
-        ledger._demand_max_stale = True
-        ledger._group_demand_max_stale = True
         demand = ledger._demand
-        for pos in lset:
-            remaining = demand[pos] - bw
-            if remaining <= BW_EPSILON:
-                del demand[pos]
-            else:
-                demand[pos] = remaining
+        ledger._demand_ties = drop_demand(
+            demand, lset, bw, ledger._demand_max, ledger._demand_ties
+        )
         if groups is not None:
             gaplv = ledger._group_aplv
-            gdemand = ledger._group_demand
-            for group in groups.groups_of(lset):
+            glist = groups.groups_of(lset)
+            for group in glist:
                 count = gaplv[group] - 1
                 if count <= 0:
                     del gaplv[group]
                 else:
                     gaplv[group] = count
-                remaining = gdemand[group] - bw
-                if remaining <= BW_EPSILON:
-                    del gdemand[group]
-                else:
-                    gdemand[group] = remaining
+            ledger._group_demand_ties = drop_demand(
+                ledger._group_demand, glist, bw,
+                ledger._group_demand_max, ledger._group_demand_ties,
+            )
         ledger.version += 1
         if shared:
-            if ledger._demand_max_stale:
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
-                )
-                ledger._demand_max_stale = False
+            if not ledger._demand_ties:
+                ledger._demand_max, ledger._demand_ties = demand_top(demand)
             target = ledger._demand_max
             ceiling = ledger.capacity - ledger._prime_bw
             achieved = min(target, max(0.0, ceiling))
@@ -409,12 +397,10 @@ def batch_release_primary(
         ledger._prime_bw = max(0.0, ledger._prime_bw - bw)
         ledger.version += 1
         if shared:
-            if ledger._demand_max_stale:
-                demand = ledger._demand
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
+            if not ledger._demand_ties:
+                ledger._demand_max, ledger._demand_ties = demand_top(
+                    ledger._demand
                 )
-                ledger._demand_max_stale = False
             target = ledger._demand_max
             ceiling = ledger.capacity - ledger._prime_bw
             achieved = min(target, max(0.0, ceiling))

@@ -18,7 +18,8 @@ shortage) lives in :mod:`repro.core.multiplexing`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from operator import countOf
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..topology.graph import Network
 from ..topology.srlg import RiskGroupSet
@@ -31,6 +32,68 @@ BW_EPSILON = 1e-9
 
 class ResourceError(RuntimeError):
     """Raised when a reservation would violate a ledger invariant."""
+
+
+# ----------------------------------------------------------------------
+# Demand maxima: a running maximum plus the exact count of its ties
+# ----------------------------------------------------------------------
+# A demand map (position -> bandwidth) carries a pair ``(top, ties)``:
+# with ``ties > 0``, ``top`` is the map's maximum and exactly ``ties``
+# entries equal it; with ``ties == 0``, every entry is strictly below
+# ``top`` and the maximum must be rescanned on the next read.  All
+# comparisons are exact float ``==``, so a resolved ``top`` is the very
+# float a full ``max()`` scan returns and spare sizes stay bit-identical.
+def demand_top(demand: Dict[int, float]) -> Tuple[float, int]:
+    """Full rescan: the map's maximum and how many entries hold it."""
+    if not demand:
+        return 0.0, 0
+    values = demand.values()
+    top = max(values)
+    return top, countOf(values, top)
+
+
+def raise_demand(
+    demand: Dict[int, float], keys: Iterable[int], bw: float,
+    top: float, ties: int,
+) -> Tuple[float, int]:
+    """Add ``bw`` to each key's entry; returns the updated pair.
+
+    An entry reaching ``top`` from below joins the ties, one passing it
+    becomes the sole holder; an entry already at ``top`` that a sub-ulp
+    ``bw`` leaves unchanged is not counted twice."""
+    get = demand.get
+    for key in keys:
+        old = get(key, 0.0)
+        total = old + bw
+        demand[key] = total
+        if total > top:
+            top = total
+            ties = 1
+        elif total == top != old:
+            ties += 1
+    return top, ties
+
+
+def drop_demand(
+    demand: Dict[int, float], keys: Iterable[int], bw: float,
+    top: float, ties: int,
+) -> int:
+    """Subtract ``bw`` from each key's entry, deleting entries left at
+    or below :data:`BW_EPSILON`; returns the ties still holding ``top``
+    (0 marks the maximum stale).  An entry counts out when it leaves
+    ``top``: when it is deleted or its value changes."""
+    for key in keys:
+        old = demand[key]
+        remaining = old - bw
+        if remaining <= BW_EPSILON:
+            del demand[key]
+            if old == top:
+                ties -= 1
+        else:
+            demand[key] = remaining
+            if old == top != remaining:
+                ties -= 1
+    return ties
 
 
 class LinkLedger:
@@ -54,9 +117,9 @@ class LinkLedger:
         "_gmask_cache",
         "_gmask_cache_version",
         "_demand_max",
-        "_demand_max_stale",
+        "_demand_ties",
         "_group_demand_max",
-        "_group_demand_max_stale",
+        "_group_demand_ties",
     )
 
     def __init__(self, link_id: int, capacity: float, num_links: int) -> None:
@@ -91,14 +154,15 @@ class LinkLedger:
         self._cv_cache_version = -1
         self._gmask_cache = 0
         self._gmask_cache_version = -1
-        # Running maxima of the demand maps.  Registrations only ever
-        # raise entries, so the maxima update in O(1) on the admission
-        # fast path; releases mark them stale for a lazy O(support)
-        # recompute on the next read.
+        # Running maxima of the demand maps with the count of entries
+        # tying them (see :func:`demand_top`).  Registrations and
+        # releases update each pair in O(|LSET|); only a release that
+        # drops the last entry at the maximum leaves it for an
+        # O(support) rescan on the next read.
         self._demand_max = 0.0
-        self._demand_max_stale = False
+        self._demand_ties = 0
         self._group_demand_max = 0.0
-        self._group_demand_max_stale = False
+        self._group_demand_ties = 0
 
     def _touch(self) -> None:
         """Record one mutation: bump the version and notify readers."""
@@ -187,11 +251,8 @@ class LinkLedger:
         L_j}``.  With the paper's identical per-connection bandwidth
         this equals ``max(APLV) · bw_req`` — the Section 5 sizing rule.
         """
-        if self._demand_max_stale:
-            self._demand_max = (
-                max(self._demand.values()) if self._demand else 0.0
-            )
-            self._demand_max_stale = False
+        if not self._demand_ties:
+            self._demand_max, self._demand_ties = demand_top(self._demand)
         return self._demand_max
 
     @property
@@ -213,7 +274,6 @@ class LinkLedger:
         self._risk_groups = groups
         self._group_aplv = {}
         self._group_demand = {}
-        self._group_demand_max_stale = True
         if groups is not None:
             for lset, bw in self._backups.values():
                 for group in groups.groups_of(lset):
@@ -223,6 +283,9 @@ class LinkLedger:
                     self._group_demand[group] = (
                         self._group_demand.get(group, 0.0) + bw
                     )
+        self._group_demand_max, self._group_demand_ties = demand_top(
+            self._group_demand
+        )
         self._touch()
 
     @property
@@ -236,13 +299,10 @@ class LinkLedger:
         """
         if self._risk_groups is None:
             return self.max_demand
-        if self._group_demand_max_stale:
-            self._group_demand_max = (
-                max(self._group_demand.values())
-                if self._group_demand
-                else 0.0
+        if not self._group_demand_ties:
+            self._group_demand_max, self._group_demand_ties = demand_top(
+                self._group_demand
             )
-            self._group_demand_max_stale = False
         return self._group_demand_max
 
     def group_aplv_l1(self) -> int:
@@ -327,20 +387,17 @@ class LinkLedger:
             raise ResourceError("backup bandwidth must be positive")
         lset = frozenset(primary_lset)
         self._aplv.add_primary(lset)
-        demand = self._demand
-        for position in lset:
-            total = demand.get(position, 0.0) + bw
-            demand[position] = total
-            if total > self._demand_max:
-                self._demand_max = total
+        self._demand_max, self._demand_ties = raise_demand(
+            self._demand, lset, bw, self._demand_max, self._demand_ties
+        )
         if self._risk_groups is not None:
-            group_demand = self._group_demand
-            for group in self._risk_groups.groups_of(lset):
+            groups = self._risk_groups.groups_of(lset)
+            for group in groups:
                 self._group_aplv[group] = self._group_aplv.get(group, 0) + 1
-                total = group_demand.get(group, 0.0) + bw
-                group_demand[group] = total
-                if total > self._group_demand_max:
-                    self._group_demand_max = total
+            self._group_demand_max, self._group_demand_ties = raise_demand(
+                self._group_demand, groups, bw,
+                self._group_demand_max, self._group_demand_ties,
+            )
         self._backups[connection_id] = (lset, bw)
         self._touch()
 
@@ -355,26 +412,21 @@ class LinkLedger:
                 )
             )
         self._aplv.remove_primary(lset)
-        self._demand_max_stale = True
-        self._group_demand_max_stale = True
-        for position in lset:
-            remaining = self._demand[position] - bw
-            if remaining <= BW_EPSILON:
-                del self._demand[position]
-            else:
-                self._demand[position] = remaining
+        self._demand_ties = drop_demand(
+            self._demand, lset, bw, self._demand_max, self._demand_ties
+        )
         if self._risk_groups is not None:
-            for group in self._risk_groups.groups_of(lset):
+            groups = self._risk_groups.groups_of(lset)
+            for group in groups:
                 count = self._group_aplv[group] - 1
                 if count <= 0:
                     del self._group_aplv[group]
                 else:
                     self._group_aplv[group] = count
-                remaining = self._group_demand[group] - bw
-                if remaining <= BW_EPSILON:
-                    del self._group_demand[group]
-                else:
-                    self._group_demand[group] = remaining
+            self._group_demand_ties = drop_demand(
+                self._group_demand, groups, bw,
+                self._group_demand_max, self._group_demand_ties,
+            )
         self._touch()
 
     # ------------------------------------------------------------------
@@ -448,6 +500,9 @@ class LinkLedger:
                     self.link_id
                 )
             )
+        self._check_demand_top(
+            self._demand, self._demand_max, self._demand_ties, "demand"
+        )
         if self._risk_groups is not None:
             expected_aplv: Dict[int, int] = {}
             expected_demand: Dict[int, float] = {}
@@ -472,6 +527,28 @@ class LinkLedger:
                         self.link_id
                     )
                 )
+            self._check_demand_top(
+                self._group_demand,
+                self._group_demand_max,
+                self._group_demand_ties,
+                "group demand",
+            )
+
+    def _check_demand_top(
+        self, demand: Dict[int, float], top: float, ties: int, name: str
+    ) -> None:
+        """The cached pair must match a rescan when resolved, and bound
+        every entry from above when stale (see :func:`demand_top`)."""
+        if ties:
+            exact = demand_top(demand) == (top, ties)
+        else:
+            exact = all(value < top for value in demand.values())
+        if not exact:
+            raise ResourceError(
+                "link {}: cached {} maximum {} x{} out of sync".format(
+                    self.link_id, name, top, ties
+                )
+            )
 
 
 class NetworkState:

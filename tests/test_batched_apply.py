@@ -36,6 +36,7 @@ from repro.kernels.apply import (
     set_batch_apply,
 )
 from repro.network import NetworkState
+from repro.network.state import BW_EPSILON
 from repro.routing import DLSRScheme
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
@@ -107,12 +108,43 @@ def _versions(state):
     return [ledger.version for ledger in state.ledgers()]
 
 
-def _run_script(net, policy_factory, script, batched):
-    """Replay a register/release script against a fresh state; returns
-    the per-step results plus the final fingerprint and versions."""
+def _check_maxima(state, coverage):
+    """Every ledger's cached demand maxima (raw pair first, then the
+    resolved properties) must equal a fresh scan of its demand maps."""
+    for ledger in state.ledgers():
+        ledger.check_invariants()
+        assert ledger.max_demand == max(ledger._demand.values(), default=0.0)
+        if state.risk_groups is not None:
+            assert ledger.max_group_demand == max(
+                ledger._group_demand.values(), default=0.0
+            )
+        coverage["ties"] = max(coverage["ties"], ledger._demand_ties)
+
+
+def _residue_deletions(state, pkt):
+    """Demand entries this release will delete at ``BW_EPSILON`` while
+    still holding a nonzero float residue."""
+    return sum(
+        1
+        for link_id in pkt.backup_route.link_ids
+        for pos in pkt.primary_lset
+        if 0.0
+        < state.ledger(link_id)._demand.get(pos, 0.0) - pkt.bw_req
+        <= BW_EPSILON
+    )
+
+
+def _run_script(net, policy_factory, script, batched, groups=None):
+    """Replay a register/release script against a fresh state, checking
+    the demand maxima after every step; returns the per-step results,
+    the final fingerprint and versions, the per-link group tables and
+    what the script exercised (largest tie count, residue deletions)."""
     state = NetworkState(net)
+    if groups is not None:
+        state.install_risk_groups(groups)
     policy = policy_factory()
     outcomes = []
+    coverage = {"ties": 0, "residues": 0}
     with batching(batched):
         for op, pkt in script:
             if op == "register":
@@ -126,26 +158,48 @@ def _run_script(net, policy_factory, script, batched):
                     )
                 )
             else:
+                coverage["residues"] += _residue_deletions(state, pkt)
                 outcomes.append(
                     tuple(release_backup_path(state, policy, pkt))
                 )
-    return outcomes, state.fingerprint(), _versions(state)
+            _check_maxima(state, coverage)
+    tables = [
+        (
+            ledger.group_aplv_l1(),
+            ledger.group_support(),
+            ledger.max_group_demand,
+        )
+        for ledger in state.ledgers()
+    ]
+    return outcomes, state.fingerprint(), _versions(state), tables, coverage
 
 
-def _script(net, num_ops, capacity_pressure_bw=1.0, seed=11):
+def _script(net, num_ops, capacity_pressure_bw=1.0, seed=11, bws=None,
+            teardown=False):
     """A seeded churn script: registrations interleaved with releases
-    of still-live packets."""
+    of still-live packets.  ``bws`` draws each packet's bandwidth from
+    a list instead; ``teardown`` releases every packet still live at
+    the end."""
     rng = random.Random(seed)
     script = []
     live = []
     for conn_id in range(num_ops):
-        pkt = _random_packet(net, rng, conn_id, bw=capacity_pressure_bw)
+        bw = rng.choice(bws) if bws else capacity_pressure_bw
+        pkt = _random_packet(net, rng, conn_id, bw=bw)
         script.append(("register", pkt))
         live.append(pkt)
         if live and rng.random() < 0.35:
             victim = live.pop(rng.randrange(len(live)))
             script.append(("release", victim))
+    if teardown:
+        rng.shuffle(live)
+        script.extend(("release", pkt) for pkt in live)
     return script
+
+
+#: Fractional bandwidths whose sums tie or miss each other in the last
+#: bit (0.1 + 0.2 != 0.3) and leave float residues on release.
+FRACTIONAL_BWS = (0.1, 0.2, 0.3)
 
 
 class TestWalkEquivalence:
@@ -178,6 +232,38 @@ class TestWalkEquivalence:
             if len(step) == 4 and step[1] is not None
         ]
         assert rejected, "pressure script must actually reject"
+
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [SharedSparePolicy, DedicatedSparePolicy],
+        ids=["shared", "dedicated"],
+    )
+    def test_fractional_bandwidth_lockstep(self, policy_factory):
+        """Fractional bandwidths make demand sums tie exactly or differ
+        in the last bit; the cached maxima must follow a fresh scan."""
+        net = mesh_network(ROWS, COLS, 8.0)
+        script = _script(net, 80, seed=17, bws=FRACTIONAL_BWS)
+        batched = _run_script(net, policy_factory, script, True)
+        per_hop = _run_script(net, policy_factory, script, False)
+        assert batched == per_hop
+        assert batched[4]["ties"] >= 2, "script must produce ties"
+
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [SharedSparePolicy, DedicatedSparePolicy],
+        ids=["shared", "dedicated"],
+    )
+    def test_epsilon_deletion_teardown_lockstep(self, policy_factory):
+        """Releasing every backup drives demand entries through the
+        ``BW_EPSILON`` deletion with float residues left by fractional
+        sums; the ledgers must end exactly pristine in both modes."""
+        net = mesh_network(ROWS, COLS, 8.0)
+        script = _script(net, 60, seed=19, bws=FRACTIONAL_BWS, teardown=True)
+        batched = _run_script(net, policy_factory, script, True)
+        per_hop = _run_script(net, policy_factory, script, False)
+        assert batched == per_hop
+        assert batched[4]["residues"] > 0, "script must leave residues"
+        assert batched[1] == NetworkState(net).fingerprint()
 
     def test_rejection_mutates_nothing(self):
         """A batched rejection is validate-only: fingerprint and
@@ -257,38 +343,21 @@ class TestWalkEquivalence:
 class TestGroupAccounting:
     def test_srlg_script_lockstep(self):
         """With risk groups installed the fused loop also maintains the
-        per-group APLV/demand tables; lockstep over a churn script."""
+        per-group APLV/demand tables; lockstep over a churn script and
+        a fractional-bandwidth teardown."""
         net = mesh_network(ROWS, COLS, 8.0)
         groups = mesh_conduit_groups(net, ROWS, COLS)
-        script = _script(net, 40, seed=13)
-
-        def run(batched):
-            state = NetworkState(net)
-            state.install_risk_groups(groups)
-            policy = GroupAwareSparePolicy()
-            outcomes = []
-            with batching(batched):
-                for op, pkt in script:
-                    if op == "register":
-                        result = register_backup_path(state, policy, pkt)
-                        outcomes.append(
-                            (result.success, tuple(result.resizes))
-                        )
-                    else:
-                        outcomes.append(
-                            tuple(release_backup_path(state, policy, pkt))
-                        )
-            tables = [
-                (
-                    ledger.group_aplv_l1(),
-                    ledger.group_support(),
-                    ledger.max_group_demand,
-                )
-                for ledger in state.ledgers()
-            ]
-            return outcomes, state.fingerprint(), tables
-
-        assert run(True) == run(False)
+        for script in (
+            _script(net, 40, seed=13),
+            _script(net, 60, seed=29, bws=FRACTIONAL_BWS, teardown=True),
+        ):
+            batched = _run_script(
+                net, GroupAwareSparePolicy, script, True, groups
+            )
+            per_hop = _run_script(
+                net, GroupAwareSparePolicy, script, False, groups
+            )
+            assert batched == per_hop
 
 
 class TestServiceLockstep:

@@ -4,21 +4,19 @@ A real ``--workers 2`` cluster server is driven through >= 500
 deterministic operations while one shard is SIGKILLed mid-load, then
 the identical timeline is replayed through the sequential epoch
 reference.  Zero divergences are required — decisions, counters and
-the final link-state fingerprint — and the full comparison is archived
-under ``benchmarks/results/cluster_oracle.json`` for CI.
+the final link-state fingerprint.  The tests write their reports to a
+temporary directory; the archived
+``benchmarks/results/cluster_oracle.json`` comes from ``repro cluster``.
 """
 
 import json
-from pathlib import Path
 
 from repro.cluster import run_cluster_oracle
 
-RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-
 
 class TestClusterOracle:
-    def test_kill_recovery_run_has_zero_divergences(self):
-        out = RESULTS / "cluster_oracle.json"
+    def test_kill_recovery_run_has_zero_divergences(self, tmp_path):
+        out = tmp_path / "cluster_oracle.json"
         result = run_cluster_oracle(
             workers=2,
             scheme="D-LSR",

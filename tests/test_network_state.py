@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import LinkLedger, NetworkState, ResourceError
-from repro.topology import line_network, ring_network
+from repro.topology import RiskGroupSet, line_network, ring_network
 from repro.topology.graph import Network
 
 
@@ -74,6 +74,50 @@ class TestBackupRegistry:
         assert ledger.max_demand == pytest.approx(1.0)
         assert not ledger.has_backup(1)
 
+    def test_sub_ulp_bandwidth_keeps_tie_count(self):
+        """A bandwidth below one ulp of the maximum leaves its entry
+        unchanged: it neither joins the ties on registration nor counts
+        out on release."""
+        ledger = make_ledger()
+        ledger.register_backup(1, {2}, 1.0)
+        ledger.register_backup(2, {3}, 1.0)
+        ledger.register_backup(3, {2}, 1e-17)
+        assert ledger._demand[2] == 1.0
+        ledger.check_invariants()
+        ledger.release_backup(3)
+        ledger.check_invariants()
+        assert (ledger._demand_max, ledger._demand_ties) == (1.0, 2)
+
+    def test_release_keeps_max_while_a_tie_remains(self):
+        """Releasing one of several entries at the maximum keeps the
+        cached maximum resolved; dropping the last one leaves it for a
+        rescan that finds the next value."""
+        ledger = make_ledger()
+        ledger.register_backup(1, {2, 3}, 2.0)
+        ledger.register_backup(2, {4}, 1.0)
+        ledger.register_backup(3, {4}, 0.5)
+        ledger.release_backup(3)
+        assert (ledger._demand_max, ledger._demand_ties) == (2.0, 2)
+        ledger.release_backup(1)
+        assert ledger._demand_ties == 0
+        assert ledger.max_demand == 1.0
+        assert (ledger._demand_max, ledger._demand_ties) == (1.0, 1)
+
+    def test_registration_while_stale(self):
+        """With the maximum stale (no read since the last tie dropped),
+        a registration below the old maximum keeps it stale and one
+        reaching it resolves it without a rescan."""
+        ledger = make_ledger()
+        ledger.register_backup(1, {2}, 3.0)
+        ledger.register_backup(2, {3}, 1.0)
+        ledger.release_backup(1)
+        ledger.register_backup(3, {4}, 2.0)
+        assert (ledger._demand_max, ledger._demand_ties) == (3.0, 0)
+        ledger.check_invariants()
+        ledger.register_backup(4, {4}, 1.0)
+        assert (ledger._demand_max, ledger._demand_ties) == (3.0, 1)
+        ledger.check_invariants()
+
     def test_duplicate_registration_rejected(self):
         ledger = make_ledger()
         ledger.register_backup(1, {0}, 1.0)
@@ -137,6 +181,39 @@ class TestInvariants:
         ledger = make_ledger()
         ledger.register_backup(1, {2}, 1.0)
         ledger._demand.clear()  # simulate corruption
+        with pytest.raises(ResourceError):
+            ledger.check_invariants()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {"_demand_max": 3.0},  # wrong maximum
+            {"_demand_ties": 1},  # wrong tie count
+            {"_demand_max": 1.0, "_demand_ties": 0},  # stale below an entry
+        ],
+        ids=["max", "ties", "stale-bound"],
+    )
+    def test_demand_max_cache_desync_detected(self, corrupt):
+        ledger = make_ledger()
+        ledger.register_backup(1, {2, 3}, 2.0)
+        ledger.register_backup(2, {4}, 1.0)
+        ledger.check_invariants()
+        for name, value in corrupt.items():
+            setattr(ledger, name, value)
+        with pytest.raises(ResourceError):
+            ledger.check_invariants()
+
+    def test_group_demand_max_cache_desync_detected(self):
+        net = line_network(4, 10.0)
+        state = NetworkState(net)
+        ledger = state.ledger(0)
+        ledger.register_backup(1, {1, 2}, 2.0)
+        # Installing rebuilds the group maps and their cached maximum.
+        state.install_risk_groups(RiskGroupSet.from_groups(net, [{1, 2}]))
+        ledger.check_invariants()
+        ledger.register_backup(2, {3}, 2.0)
+        ledger.check_invariants()
+        ledger._group_demand_ties += 1
         with pytest.raises(ResourceError):
             ledger.check_invariants()
 
